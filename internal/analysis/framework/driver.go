@@ -12,8 +12,8 @@ type Finding struct {
 	Pos      Position
 	Message  string
 	// Fixes are the diagnostic's suggested fixes with positions resolved
-	// to byte offsets, so they survive serialization into the cache and
-	// can be applied without a FileSet.
+	// to byte offsets, so they survive the -json output and can be
+	// applied without a FileSet.
 	Fixes []Fix `json:",omitempty"`
 }
 
@@ -60,37 +60,6 @@ type Result struct {
 	// analyzer not in the roster). Reported separately so the default
 	// mode stays byte-compatible and `-staleallow` can audit.
 	StaleAllows []Finding
-	// Analyzed and Skipped count packages analyzed versus served from
-	// the cache.
-	Analyzed int
-	Skipped  int
-}
-
-// Options configures a driver run.
-type Options struct {
-	// Cache, when non-nil, lets unchanged packages skip analysis: before
-	// analyzing a package the driver asks the cache for a hit keyed by
-	// the package's content key; on a hit the cached findings, stale
-	// allows, and exported facts are installed verbatim.
-	Cache Cache
-}
-
-// Cache is the driver's package-result cache interface, implemented by the
-// depsenselint CLI over a JSON file.
-type Cache interface {
-	// Get returns the cached entry for the package key, if present.
-	Get(importPath, key string) (*CacheEntry, bool)
-	// Put stores the entry for the package key.
-	Put(importPath, key string, e *CacheEntry)
-}
-
-// CacheEntry is everything a package contributes to a run: its findings,
-// its stale-allow findings, and the facts its analysis exported (which
-// downstream packages may import even when this package is a cache hit).
-type CacheEntry struct {
-	Findings    []Finding   `json:"findings,omitempty"`
-	StaleAllows []Finding   `json:"staleAllows,omitempty"`
-	Facts       []SavedFact `json:"facts,omitempty"`
 }
 
 // RunAnalyzers applies every analyzer to every package, filters the
@@ -99,7 +68,7 @@ type CacheEntry struct {
 // as findings under the reserved "lintallow" name, which no directive can
 // suppress — every suppression must carry a justification.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := Run(pkgs, analyzers, Options{})
+	res, err := Run(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +79,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // orders packages so dependencies are analyzed before dependents (facts
 // flow forward), runs each analyzer with fact import/export wired up, and
 // resolves suppressions. See RunAnalyzers for the suppression contract.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) {
+func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	roster, err := expandAnalyzers(analyzers)
 	if err != nil {
 		return nil, err
@@ -123,32 +92,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) 
 	for _, a := range roster {
 		rosterNames[a.Name] = true
 	}
-	factTypes := factTypeRegistry(roster)
 
 	res := &Result{}
 	facts := newFactStore()
 	for _, pkg := range ordered {
-		if opts.Cache != nil && pkg.Key != "" {
-			if e, ok := opts.Cache.Get(pkg.ImportPath, pkg.Key); ok {
-				if err := facts.installFacts(pkg.ImportPath, e.Facts, factTypes); err != nil {
-					return nil, err
-				}
-				res.Findings = append(res.Findings, e.Findings...)
-				res.StaleAllows = append(res.StaleAllows, e.StaleAllows...)
-				res.Skipped++
-				continue
-			}
-		}
 		entry, err := runPackage(pkg, roster, rosterNames, facts)
 		if err != nil {
 			return nil, err
 		}
 		res.Findings = append(res.Findings, entry.Findings...)
 		res.StaleAllows = append(res.StaleAllows, entry.StaleAllows...)
-		res.Analyzed++
-		if opts.Cache != nil && pkg.Key != "" {
-			opts.Cache.Put(pkg.ImportPath, pkg.Key, entry)
-		}
 	}
 	sortFindings(res.Findings)
 	sortFindings(res.StaleAllows)
@@ -156,9 +109,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) 
 }
 
 // runPackage applies the full roster to one package and resolves its
-// suppressions, returning the package's cacheable contribution.
-func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, facts *factStore) (*CacheEntry, error) {
-	entry := &CacheEntry{}
+// suppressions, returning the package's findings (its exported facts stay
+// in the run's fact store for the packages analyzed after it).
+func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, facts *factStore) (*Result, error) {
+	entry := &Result{}
 	allows := parseAllows(pkg)
 	for i := range allows {
 		if allows[i].malformed != "" {
@@ -227,11 +181,6 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			}
 		}
 	}
-	var err error
-	entry.Facts, err = facts.exportedFacts(pkg.ImportPath)
-	if err != nil {
-		return nil, err
-	}
 	return entry, nil
 }
 
@@ -299,8 +248,7 @@ func expandAnalyzers(analyzers []*Analyzer) ([]*Analyzer, error) {
 
 // sortPackages orders packages so every package follows the packages it
 // imports (facts flow dependency-first); ties break by import path so the
-// order — and therefore finding order and cache contents — is
-// deterministic.
+// order — and therefore finding order — is deterministic.
 func sortPackages(pkgs []*Package) ([]*Package, error) {
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {

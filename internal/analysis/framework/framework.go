@@ -4,8 +4,8 @@
 // fully offline: the real x/tools module cannot be assumed present, so the
 // depsenselint analyzers are written against this API-compatible core
 // instead. The shapes (Analyzer, Pass, Diagnostic, Reportf) mirror
-// go/analysis deliberately — if/when x/tools is vendored (see tools/tools.go
-// for the version pin), the analyzers port by changing one import.
+// go/analysis deliberately — if/when x/tools is vendored, the analyzers port
+// by changing one import.
 //
 // On top of the go/analysis core it adds the two repo-specific conventions
 // the lint suite is built around:
@@ -41,8 +41,7 @@ type Analyzer struct {
 	// The driver runs the transitive closure in topological order.
 	Requires []*Analyzer
 	// FactTypes declares every fact type Run may export, one zero value
-	// per type. Exporting an unregistered type is an error; registration
-	// is what lets the cache decode persisted facts.
+	// per type. Exporting an unregistered type is an error.
 	FactTypes []Fact
 	// Run applies the check to one package and reports findings through
 	// pass.Reportf or pass.Report.

@@ -69,28 +69,25 @@ func (e *engine) mStepBlockDense(lo, hi int, sumZ, sumY float64) {
 		d0 := e.sv.ClaimsD0.Row(i)
 		d1 := e.sv.ClaimsD1.Row(i)
 		sil := e.sv.SilentD1.Row(i)
-		var az, ay, fz, fy, sz, sy float64
+		var st strata
 		k0, k1, ks := 0, 0, 0
 		for j := 0; j < m; j++ {
 			z := e.post[j]
 			switch {
 			case k0 < len(d0) && int(d0[k0]) == j:
-				az += z
-				ay += 1 - z
+				st.az += z
+				st.ay += 1 - z
 				k0++
 			case k1 < len(d1) && int(d1[k1]) == j:
-				fz += z
-				fy += 1 - z
+				st.fz += z
+				st.fy += 1 - z
 				k1++
 			case ks < len(sil) && int(sil[ks]) == j:
-				sz += z
-				sy += 1 - z
+				st.sz += z
+				st.sy += 1 - z
 				ks++
 			}
 		}
-		e.massAZ[i], e.massAY[i] = az, ay
-		e.massFZ[i], e.massFY[i] = fz, fy
-		e.silZ[i], e.silY[i] = sz, sy
-		e.assembleRatios(i, sumZ, sumY)
+		e.variant.ratios(&st, sumZ, sumY, &e.nums[i], &e.dens[i])
 	}
 }

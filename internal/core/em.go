@@ -428,8 +428,25 @@ type engine struct {
 	smoothDep float64
 	workers   int
 
+	// readA, readF, readS are the strata whose nonzeros make the E-step
+	// read corrA1/corrB0, corrF1/corrG0 and corrSF1/corrSG0 under this
+	// variant; refreshLogs refreshes a source's entries only when its
+	// pattern intersects them.
+	readA, readF, readS uint8
+
+	// silentNums/silentDens are this M-step's Eq. (10)-(13) slots for a
+	// silent source (pattern 0), shared by every such source.
+	silentNums, silentDens [4]float64
+
 	*Scratch
 }
+
+// Source stratum bits of Scratch.pattern.
+const (
+	stratIndep  uint8 = 1 << iota // claims with D = 0
+	stratDep                      // claims with D = 1
+	stratSilent                   // silent-dependent pairs
+)
 
 // newEngine prepares an engine for one fit, borrowing the caller's Scratch
 // when provided (and safe) or allocating a private one.
@@ -439,7 +456,7 @@ func newEngine(ds *claims.Dataset, variant Variant, opts Options) *engine {
 		s = NewScratch()
 	}
 	s.grow(ds.N(), ds.M())
-	return &engine{
+	e := &engine{
 		ds:        ds,
 		sv:        ds.Sparse(),
 		variant:   variant,
@@ -449,6 +466,29 @@ func newEngine(ds *claims.Dataset, variant Variant, opts Options) *engine {
 		workers:   opts.Workers,
 		Scratch:   s,
 	}
+	switch variant {
+	case VariantExt:
+		e.readA, e.readF, e.readS = stratIndep, stratDep, stratSilent
+	case VariantIndependent:
+		e.readA = stratIndep | stratDep
+	case VariantSocial:
+		e.readA = stratIndep // dependent claims read log1A/log1B
+	}
+	d0, d1, sil := e.sv.ClaimsD0.RowPtr, e.sv.ClaimsD1.RowPtr, e.sv.SilentD1.RowPtr
+	for i := range s.pattern {
+		var p uint8
+		if d0[i+1] > d0[i] {
+			p |= stratIndep
+		}
+		if d1[i+1] > d1[i] {
+			p |= stratDep
+		}
+		if sil[i+1] > sil[i] {
+			p |= stratSilent
+		}
+		s.pattern[i] = p
+	}
+	return e
 }
 
 // runOnce executes one EM run. restart is the 0-based restart index, fired
@@ -542,20 +582,36 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 // 1-ProbEpsilon], which Clamp and the M-step guarantee), so routing
 // through it changes no bits while making the log-space intent explicit
 // and keeping degenerate inputs finite.
+//
+// The work follows the claim pattern: every source gets its baseline
+// factors log(1-a_i), log(1-b_i), but a correction pair is computed only
+// for sources with nonzeros the E-step reads it for (engine.readA/F/S).
+// Silent sources — no claims, no silent-dependent pairs — need only the
+// baseline, and since the M-step gives them all one (a, b) they share a
+// memoised pair of logs.
 func (e *engine) refreshLogs(p *model.Params) {
 	for i, s := range p.Sources {
-		la, l1a := model.SafeLog(s.A), model.SafeLog(1-s.A)
-		lb, l1b := model.SafeLog(s.B), model.SafeLog(1-s.B)
-		lf, l1f := model.SafeLog(s.F), model.SafeLog(1-s.F)
-		lg, l1g := model.SafeLog(s.G), model.SafeLog(1-s.G)
+		pat := e.pattern[i]
+		var l1a, l1b float64
+		if pat == 0 {
+			l1a, l1b = e.silentMemo.logs1m(s.A, s.B)
+		} else {
+			l1a, l1b = model.SafeLog(1-s.A), model.SafeLog(1-s.B)
+		}
 		e.log1A[i] = l1a
 		e.log1B[i] = l1b
-		e.corrA1[i] = la - l1a
-		e.corrB0[i] = lb - l1b
-		e.corrF1[i] = lf - l1a
-		e.corrG0[i] = lg - l1b
-		e.corrSF1[i] = l1f - l1a
-		e.corrSG0[i] = l1g - l1b
+		if pat&e.readA != 0 {
+			e.corrA1[i] = model.SafeLog(s.A) - l1a
+			e.corrB0[i] = model.SafeLog(s.B) - l1b
+		}
+		if pat&e.readF != 0 {
+			e.corrF1[i] = model.SafeLog(s.F) - l1a
+			e.corrG0[i] = model.SafeLog(s.G) - l1b
+		}
+		if pat&e.readS != 0 {
+			e.corrSF1[i] = model.SafeLog(1-s.F) - l1a
+			e.corrSG0[i] = model.SafeLog(1-s.G) - l1b
+		}
 	}
 }
 
@@ -636,7 +692,10 @@ func (e *engine) mStep(p *model.Params) {
 
 	// Per-source stratum masses and the numerators/denominators of
 	// Eqs. (10)-(13): every source is independent, so source blocks shard
-	// freely; each slot is written exactly once (see mStepBlock).
+	// freely; each slot is written exactly once (see mStepBlock). A silent
+	// source's strata are all empty, so its slots are the ratios of zero
+	// masses, computed once here for the whole class.
+	e.variant.ratios(&strata{}, sumZ, sumY, &e.silentNums, &e.silentDens)
 	nbN := parallel.Blocks(n, emBlockSize)
 	if e.workers <= 1 {
 		for b := 0; b < nbN; b++ {
@@ -653,13 +712,20 @@ func (e *engine) mStep(p *model.Params) {
 
 	// Pooled channel totals for shrinkage, accumulated serially in source
 	// index order — a cheap O(n) reduction whose order fixes the result.
-	var pool [4]ratio // A, B, F, G
+	// One scalar accumulator per sum keeps the chains in registers.
+	var pa, pb, pf, pg ratio
 	for i := 0; i < n; i++ {
-		for c := 0; c < 4; c++ {
-			pool[c].num += e.nums[i][c]
-			pool[c].den += e.dens[i][c]
-		}
+		nm, dn := &e.nums[i], &e.dens[i]
+		pa.num += nm[0]
+		pa.den += dn[0]
+		pb.num += nm[1]
+		pb.den += dn[1]
+		pf.num += nm[2]
+		pf.den += dn[2]
+		pg.num += nm[3]
+		pg.den += dn[3]
 	}
+	pool := [4]ratio{pa, pb, pf, pg} // A, B, F, G
 
 	var pooled, shrink [4]float64
 	for c := 0; c < 4; c++ {
@@ -675,18 +741,34 @@ func (e *engine) mStep(p *model.Params) {
 		}
 	}
 
+	// The silent class's update is computed once; keep[c] marks an
+	// unsmoothed empty stratum, where each source keeps its own value. The
+	// dense oracle updates silent sources one by one, which is what the
+	// class value must reproduce bit for bit.
+	var silent [4]float64
+	var keep [4]bool
+	for c := range silent {
+		silent[c], keep[c] = shrunk(0, e.silentNums[c], e.silentDens[c], shrink[c], pooled[c])
+	}
+	silentClass := e.kernel != KernelDense
+	ext := e.variant == VariantExt
 	for i := range p.Sources {
 		s := &p.Sources[i]
-		dst := [4]*float64{&s.A, &s.B, &s.F, &s.G}
-		for c := 0; c < 4; c++ {
-			if e.variant != VariantExt && c >= 2 {
-				break
+		if silentClass && e.pattern[i] == 0 {
+			setUnlessKept(&s.A, silent[0], keep[0])
+			setUnlessKept(&s.B, silent[1], keep[1])
+			if ext {
+				setUnlessKept(&s.F, silent[2], keep[2])
+				setUnlessKept(&s.G, silent[3], keep[3])
 			}
-			den := e.dens[i][c] + shrink[c]
-			if den <= 1e-12 {
-				continue // unsmoothed empty stratum: keep previous value
+		} else {
+			nm, dn := &e.nums[i], &e.dens[i]
+			s.A, _ = shrunk(s.A, nm[0], dn[0], shrink[0], pooled[0])
+			s.B, _ = shrunk(s.B, nm[1], dn[1], shrink[1], pooled[1])
+			if ext {
+				s.F, _ = shrunk(s.F, nm[2], dn[2], shrink[2], pooled[2])
+				s.G, _ = shrunk(s.G, nm[3], dn[3], shrink[3], pooled[3])
 			}
-			*dst[c] = model.ClampProb((e.nums[i][c] + shrink[c]*pooled[c]) / den)
 		}
 		if e.variant == VariantIndependent {
 			// One channel: keep the dependent parameters mirrored so the
@@ -695,6 +777,25 @@ func (e *engine) mStep(p *model.Params) {
 		}
 	}
 	p.Z = model.ClampProb(sumZ / float64(m))
+}
+
+// shrunk is one parameter's smoothed M-step update: the ratio num/den
+// shrunk toward pooled with shrink pseudo-observations. An unsmoothed
+// empty stratum (den + shrink <= 1e-12) keeps prev and reports kept.
+func shrunk(prev, num, den, shrink, pooled float64) (v float64, kept bool) {
+	den += shrink
+	if den <= 1e-12 {
+		return prev, true
+	}
+	return model.ClampProb((num + shrink*pooled) / den), false
+}
+
+// setUnlessKept stores v into dst unless the update keeps the previous
+// value.
+func setUnlessKept(dst *float64, v float64, kept bool) {
+	if !kept {
+		*dst = v
+	}
 }
 
 // sumPostBlock sums the posterior mass of assertion block b.
@@ -718,6 +819,27 @@ func sigmoidDiff(w1, w0 float64) float64 {
 	}
 	ed := math.Exp(d)
 	return ed / (1 + ed)
+}
+
+// posteriorLSE returns sigmoidDiff(w1, w0) and logSumExp(w1, w0), bit for
+// bit, from one shared exponential: both need exp(-|w1-w0|), and w0-w1 is
+// exactly -(w1-w0) in IEEE arithmetic. The sparse E-step uses it; the
+// dense oracle keeps the two separate calls it must agree with.
+func posteriorLSE(w1, w0 float64) (post, lse float64) {
+	hi, lo := w1, w0
+	if hi < lo {
+		hi, lo = lo, hi
+	}
+	if math.IsInf(hi, -1) {
+		return sigmoidDiff(w1, w0), hi
+	}
+	ed := math.Exp(lo - hi)
+	if w1-w0 >= 0 {
+		post = 1 / (1 + ed)
+	} else {
+		post = ed / (1 + ed)
+	}
+	return post, hi + math.Log1p(ed)
 }
 
 // logSumExp returns log(exp(a)+exp(b)) computed stably. It delegates to

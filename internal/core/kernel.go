@@ -92,8 +92,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 			}
 			w1 := l1 + logZ
 			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			var lse float64
+			post[j], lse = posteriorLSE(w1, w0)
+			ll += lse
 		}
 	case VariantSocial:
 		corrA1, corrB0 := e.corrA1, e.corrB0
@@ -113,8 +114,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 			}
 			w1 := l1 + logZ
 			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			var lse float64
+			post[j], lse = posteriorLSE(w1, w0)
+			ll += lse
 		}
 	default: // VariantIndependent: dependency indicators ignored
 		corrA1, corrB0 := e.corrA1, e.corrB0
@@ -127,8 +129,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 			}
 			w1 := l1 + logZ
 			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			var lse float64
+			post[j], lse = posteriorLSE(w1, w0)
+			ll += lse
 		}
 	}
 	return ll
@@ -137,7 +140,8 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 // mStepBlockSparse accumulates each source's stratum masses over its CSR
 // rows — independent claims, dependent claims, silent-dependent pairs, in
 // ascending assertion order, matching the dense kernel's per-stratum
-// accumulation order exactly.
+// accumulation order exactly. Silent sources take the class slots mStep
+// computed from zero masses, which is what their empty rows would sum to.
 func (e *engine) mStepBlockSparse(lo, hi int, sumZ, sumY float64) {
 	var (
 		d0Ptr, d0Col = e.sv.ClaimsD0.RowPtr, e.sv.ClaimsD0.Col
@@ -146,52 +150,50 @@ func (e *engine) mStepBlockSparse(lo, hi int, sumZ, sumY float64) {
 		post         = e.post
 	)
 	for i := lo; i < hi; i++ {
-		var az, ay float64
+		if e.pattern[i] == 0 {
+			e.nums[i], e.dens[i] = e.silentNums, e.silentDens
+			continue
+		}
+		var st strata
 		for k := d0Ptr[i]; k < d0Ptr[i+1]; k++ {
 			z := post[d0Col[k]]
-			az += z
-			ay += 1 - z
+			st.az += z
+			st.ay += 1 - z
 		}
-		var fz, fy float64
 		for k := d1Ptr[i]; k < d1Ptr[i+1]; k++ {
 			z := post[d1Col[k]]
-			fz += z
-			fy += 1 - z
+			st.fz += z
+			st.fy += 1 - z
 		}
-		var sz, sy float64
 		for k := sPtr[i]; k < sPtr[i+1]; k++ {
 			z := post[sCol[k]]
-			sz += z
-			sy += 1 - z
+			st.sz += z
+			st.sy += 1 - z
 		}
-		e.massAZ[i], e.massAY[i] = az, ay
-		e.massFZ[i], e.massFY[i] = fz, fy
-		e.silZ[i], e.silY[i] = sz, sy
-		e.assembleRatios(i, sumZ, sumY)
+		e.variant.ratios(&st, sumZ, sumY, &e.nums[i], &e.dens[i])
 	}
 }
 
-// assembleRatios fills the Eq. (10)-(13) numerator/denominator slots of
-// source i from its stratum masses, per variant. Shared by both kernels.
-func (e *engine) assembleRatios(i int, sumZ, sumY float64) {
-	var r [4]ratio
-	switch e.variant {
+// strata holds one source's posterior masses by stratum: claimed
+// independently (a), claimed dependently (f), silent-dependent (s); Z
+// carries P(true) mass and Y carries P(false) mass.
+type strata struct{ az, ay, fz, fy, sz, sy float64 }
+
+// ratios fills the Eq. (10)-(13) numerator/denominator slots (A, B, F, G)
+// of a source with stratum masses st, per variant. Shared by both kernels
+// and by the M-step's silent class.
+func (v Variant) ratios(st *strata, sumZ, sumY float64, nums, dens *[4]float64) {
+	switch v {
 	case VariantExt:
-		depZ := e.massFZ[i] + e.silZ[i]
-		depY := e.massFY[i] + e.silY[i]
-		r[0] = ratio{e.massAZ[i], sumZ - depZ}
-		r[1] = ratio{e.massAY[i], sumY - depY}
-		r[2] = ratio{e.massFZ[i], depZ}
-		r[3] = ratio{e.massFY[i], depY}
+		depZ := st.fz + st.sz
+		depY := st.fy + st.sy
+		*nums = [4]float64{st.az, st.ay, st.fz, st.fy}
+		*dens = [4]float64{sumZ - depZ, sumY - depY, depZ, depY}
 	case VariantIndependent:
-		r[0] = ratio{e.massAZ[i] + e.massFZ[i], sumZ}
-		r[1] = ratio{e.massAY[i] + e.massFY[i], sumY}
+		*nums = [4]float64{st.az + st.fz, st.ay + st.fy}
+		*dens = [4]float64{sumZ, sumY}
 	case VariantSocial:
-		r[0] = ratio{e.massAZ[i], sumZ - e.massFZ[i]}
-		r[1] = ratio{e.massAY[i], sumY - e.massFY[i]}
-	}
-	for c := 0; c < 4; c++ {
-		e.nums[i][c] = r[c].num
-		e.dens[i][c] = r[c].den
+		*nums = [4]float64{st.az, st.ay}
+		*dens = [4]float64{sumZ - st.fz, sumY - st.fy}
 	}
 }

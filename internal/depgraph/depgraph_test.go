@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -338,5 +339,46 @@ func TestBuildDatasetStableAcrossRuns(t *testing.T) {
 		if got := encode(); !bytes.Equal(got, first) {
 			t.Fatalf("run %d: dataset encoding differs from first run", run)
 		}
+	}
+}
+
+// TestGrowKeepsEdges: growing the id space in place keeps every ancestor
+// list, in its original order, and the edge count; new sources start bare
+// and accept edges in both directions.
+func TestGrowKeepsEdges(t *testing.T) {
+	g := NewGraph(4)
+	for _, e := range [][2]int{{0, 3}, {0, 1}, {2, 0}, {0, 2}, {3, 1}} {
+		if err := g.AddFollow(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]int, g.N())
+	for i := range want {
+		want[i] = append([]int(nil), g.Ancestors(i)...)
+	}
+	edges := g.NumEdges()
+	g.Grow(3) // shrinking is a no-op
+	g.Grow(7)
+	if g.N() != 7 || g.NumEdges() != edges {
+		t.Fatalf("after Grow(7): n=%d edges=%d, want 7 and %d", g.N(), g.NumEdges(), edges)
+	}
+	for i := range want {
+		if got := g.Ancestors(i); !slices.Equal(got, want[i]) {
+			t.Fatalf("ancestors(%d) = %v, want %v", i, got, want[i])
+		}
+	}
+	for i := 4; i < 7; i++ {
+		if len(g.Ancestors(i)) != 0 {
+			t.Fatalf("new source %d has ancestors %v", i, g.Ancestors(i))
+		}
+	}
+	if err := g.AddFollow(6, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddFollow(0, 6); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Ancestors(0); !slices.Equal(got, append(want[0], 6)) {
+		t.Fatalf("ancestors(0) after new edge = %v", got)
 	}
 }

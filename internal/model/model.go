@@ -150,12 +150,19 @@ func (p *Params) Clamp() {
 func (p *Params) MaxAbsDiff(q *Params) float64 {
 	d := math.Abs(p.Z - q.Z)
 	for i := range p.Sources {
-		a, b := p.Sources[i], q.Sources[i]
-		for _, v := range [...]float64{a.A - b.A, a.B - b.B, a.F - b.F, a.G - b.G} {
-			if av := math.Abs(v); av > d {
-				d = av
-			}
-		}
+		a, b := &p.Sources[i], &q.Sources[i]
+		d = maxAbs(d, a.A-b.A)
+		d = maxAbs(d, a.B-b.B)
+		d = maxAbs(d, a.F-b.F)
+		d = maxAbs(d, a.G-b.G)
+	}
+	return d
+}
+
+// maxAbs returns |v| when it exceeds d, else d (a NaN v never wins).
+func maxAbs(d, v float64) float64 {
+	if av := math.Abs(v); av > d {
+		return av
 	}
 	return d
 }

@@ -192,3 +192,49 @@ func TestStreamGauges(t *testing.T) {
 		t.Fatalf("refit age after 40s = %v, want 40", got)
 	}
 }
+
+// TestGrowSourcesSnapshotRoundTrip: follow edges survive in-place id-space
+// growth (ObserveFollow and AddBatch both grow), and a snapshot taken after
+// growth round-trips through Restore to byte-identical bytes.
+func TestGrowSourcesSnapshotRoundTrip(t *testing.T) {
+	e := New(Options{EM: core.Options{Seed: 4}})
+	for _, f := range [][2]int{{2, 1}, {1, 0}, {2, 0}} {
+		if err := e.ObserveFollow(f[0], f[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.AddBatch([]depgraph.Event{{Source: 0, Assertion: 0, Time: 1}, {Source: 2, Assertion: 0, Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ObserveFollow(5, 2); err != nil { // grows 3 → 6
+		t.Fatal(err)
+	}
+	if _, err := e.AddBatch([]depgraph.Event{{Source: 8, Assertion: 1, Time: 3}}); err != nil { // grows 6 → 9
+		t.Fatal(err)
+	}
+	if got := e.graph.Ancestors(2); !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Fatalf("ancestors(2) after growth = %v, want [1 0] in observation order", got)
+	}
+	if e.graph.N() != 9 || e.graph.NumEdges() != 4 {
+		t.Fatalf("graph after growth: n=%d edges=%d, want 9 and 4", e.graph.N(), e.graph.NumEdges())
+	}
+	first, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(first, &snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&snap, Options{EM: core.Options{Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := json.Marshal(restored.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first) != string(second) {
+		t.Fatalf("snapshot round trip after growth differs:\n%s\n%s", first, second)
+	}
+}

@@ -3,11 +3,16 @@
 // "Recursive ground truth estimator for social data streams", IPSN 2016).
 //
 // A stream.Estimator ingests timestamped claims in batches. After each
-// batch it rebuilds the (sparse) dataset seen so far and re-estimates truth
-// posteriors with EM-Ext — but warm-started from the previous batch's
-// parameter estimates, so late batches converge in a handful of iterations
-// instead of a full cold fit. Sources and assertions may appear at any
-// time; the id spaces grow monotonically.
+// batch it rebuilds the (sparse) dataset seen so far — depgraph.BuildDataset
+// re-derives D from every accumulated event, without maps, in one sort per
+// source — and re-estimates truth posteriors with EM-Ext, warm-started from
+// the previous batch's parameter estimates so late batches converge in a
+// handful of iterations instead of a full cold fit. Every refit runs through
+// one core.Scratch, and its per-iteration cost follows the claim pattern:
+// the many sources with no claims and no silent-dependent pairs share one
+// memoised log pair and one M-step update (DESIGN.md §13). Sources and
+// assertions may appear at any time; the id spaces grow monotonically, the
+// follow graph growing in place (depgraph.Graph.Grow).
 package stream
 
 import (
@@ -267,15 +272,7 @@ func (e *Estimator) growSources(n int) {
 	if n <= e.numSrc {
 		return
 	}
-	grown := depgraph.NewGraph(n)
-	for i := 0; i < e.numSrc; i++ {
-		for _, anc := range e.graph.Ancestors(i) {
-			// Re-adding within a larger graph cannot fail: indices are
-			// in range by construction.
-			_ = grown.AddFollow(i, anc)
-		}
-	}
-	e.graph = grown
+	e.graph.Grow(n)
 	if e.params != nil {
 		p := model.NewParams(n, e.params.Z)
 		copy(p.Sources, e.params.Sources)
