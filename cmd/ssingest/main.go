@@ -19,7 +19,10 @@
 // verdicts at /debug/quality, alarm counters on /metrics, and — when
 // -trace-dir is set — a quality.jsonl spill next to traces.jsonl for
 // offline auditing with ssqual. -interval > 0 paces emission like a
-// live stream; 0 replays as fast as the pipeline drains. With -data, every
+// live stream and sheds raw tweets while the pipeline falls behind; 0
+// replays as fast as the pipeline drains, losslessly (backpressure reaches
+// the firehose, so the committed stream is the whole stream). On exit the
+// accepted and dropped tweet counts are printed on stderr. With -data, every
 // batch is committed to an fsynced claim log before it is applied and the
 // model is snapshotted periodically, so restarting with the same -data
 // (and the same scenario flags) resumes exactly where the previous process
@@ -33,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -42,6 +46,7 @@ import (
 
 	"depsense/internal/core"
 	"depsense/internal/ingest"
+	"depsense/internal/obs"
 	"depsense/internal/qual"
 	"depsense/internal/randutil"
 	"depsense/internal/stream"
@@ -49,21 +54,22 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "ssingest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ssingest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		scenario  = fs.String("scenario", "Ukraine", "twittersim preset scenario feeding the firehose")
 		scale     = fs.Int("scale", 20, "scenario downscale divisor (larger = smaller stream)")
 		seed      = fs.Int64("seed", 1, "firehose world seed; same seed + scenario = same stream")
 		emSeed    = fs.Int64("em-seed", 1, "estimator seed")
 		batch     = fs.Int("batch", 64, "accepted tweets per committed batch")
-		interval  = fs.Duration("interval", 0, "paced emission interval (0 = replay at full speed)")
+		interval  = fs.Duration("interval", 0, "paced emission interval, shedding under overload (0 = lossless replay at full speed)")
 		workers   = fs.Int("workers", 1, "estimator parallelism; published rankings are identical at any value, 0 = GOMAXPROCS")
 		topK      = fs.Int("topk", 100, "published ranking size")
 		dataDir   = fs.String("data", "", "persistence directory (claim log + snapshots); empty = in-memory only")
@@ -80,7 +86,7 @@ func run(args []string) error {
 		return err
 	}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	if *traceDir != "" {
 		// Fail at startup, not on the first spilled trace.
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -112,15 +118,18 @@ func run(args []string) error {
 	}
 
 	pipe, err := ingest.New(ctx, source, ingest.Options{
-		Stream:        stream.Options{EM: core.Options{Seed: *emSeed, Workers: *workers}},
-		BatchSize:     *batch,
-		TopK:          *topK,
-		Dir:           *dataDir,
-		SnapshotEvery: *snapEvery,
-		Logger:        logger,
-		TraceBuffer:   *traceBuf,
-		TraceDir:      *traceDir,
-		Quality:       qualOpts,
+		Stream:    stream.Options{EM: core.Options{Seed: *emSeed, Workers: *workers}},
+		BatchSize: *batch,
+		// Only a paced live stream may shed: a replay that drops tweets
+		// would publish rankings that depend on timing.
+		DisableShedding: *interval <= 0,
+		TopK:            *topK,
+		Dir:             *dataDir,
+		SnapshotEvery:   *snapEvery,
+		Logger:          logger,
+		TraceBuffer:     *traceBuf,
+		TraceDir:        *traceDir,
+		Quality:         qualOpts,
 	})
 	if err != nil {
 		return err
@@ -138,7 +147,7 @@ func run(args []string) error {
 			IdleTimeout:       time.Minute,
 		}
 		go func() {
-			fmt.Fprintln(os.Stderr, "ssingest: listening on", *addr)
+			fmt.Fprintln(stderr, "ssingest: listening on", *addr)
 			httpErr <- srv.ListenAndServe()
 		}()
 	}
@@ -153,7 +162,7 @@ func run(args []string) error {
 
 	if exhausted && !*once && srv != nil {
 		// Keep serving the final rankings until the operator stops us.
-		fmt.Fprintln(os.Stderr, "ssingest: stream exhausted, serving final rankings")
+		fmt.Fprintln(stderr, "ssingest: stream exhausted, serving final rankings")
 		<-ctx.Done()
 	}
 
@@ -167,5 +176,9 @@ func run(args []string) error {
 			runErr = err
 		}
 	}
+	reg := pipe.Metrics()
+	fmt.Fprintf(stderr, "ssingest: accepted=%d dropped=%d\n",
+		int64(reg.Counter(ingest.MetricTweets, "", obs.L("outcome", "accepted")).Value()),
+		int64(reg.Counter(ingest.MetricTweets, "", obs.L("outcome", "dropped")).Value()))
 	return runErr
 }

@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -14,13 +15,17 @@ import (
 // punctuation-stripped, with retweet markers ("rt"), @-mentions, URLs, and
 // common stopwords removed. These are exactly the elements that vary
 // between a claim and its repeats, so removing them lets a retweet cluster
-// with its original.
+// with its original. Tokens keep their first-occurrence order.
 func Tokenize(text string) []string {
+	// ToLower also rewrites invalid UTF-8 as U+FFFD, which no trim rune,
+	// prefix or stopword below matches.
 	fields := strings.Fields(strings.ToLower(text))
-	seen := make(map[string]struct{}, len(fields))
-	tokens := make([]string, 0, len(fields))
+	// Tokens overwrite fields in place: token k is written only after
+	// field k has been read.
+	tokens := fields[:0]
+	var seen map[string]struct{} // only for documents past dedupeScanMax tokens
 	for _, f := range fields {
-		f = strings.Trim(f, ".,!?;:'\"()[]{}…—-")
+		f = strings.TrimFunc(f, isTrimRune)
 		switch {
 		case f == "" || f == "rt":
 			continue
@@ -28,25 +33,55 @@ func Tokenize(text string) []string {
 			continue
 		case strings.HasPrefix(f, "http://") || strings.HasPrefix(f, "https://"):
 			continue
-		case stopwords[f]:
+		case isStopword(f):
 			continue
 		}
-		if _, dup := seen[f]; dup {
+		if seen == nil && len(tokens) == dedupeScanMax {
+			seen = make(map[string]struct{}, 2*dedupeScanMax)
+			for _, tok := range tokens {
+				seen[tok] = struct{}{}
+			}
+		}
+		if seen != nil {
+			if _, dup := seen[f]; dup {
+				continue
+			}
+			seen[f] = struct{}{}
+		} else if slices.Contains(tokens, f) {
 			continue
 		}
-		seen[f] = struct{}{}
 		tokens = append(tokens, f)
 	}
 	return tokens
 }
 
-var stopwords = map[string]bool{
-	"a": true, "an": true, "the": true, "is": true, "are": true, "was": true,
-	"were": true, "be": true, "been": true, "to": true, "of": true, "in": true,
-	"on": true, "at": true, "and": true, "or": true, "it": true, "its": true,
-	"this": true, "that": true, "with": true, "for": true, "by": true,
-	"from": true, "as": true, "has": true, "have": true, "had": true,
-	"i": true, "we": true, "you": true, "they": true, "he": true, "she": true,
+// dedupeScanMax bounds the linear duplicate scan: a tweet has a few dozen
+// tokens at most, but a hostile document with many distinct tokens must
+// not cost quadratic time, so past this many tokens Tokenize dedupes
+// through a set instead.
+const dedupeScanMax = 64
+
+// isTrimRune reports the punctuation Tokenize strips from both ends of a
+// field. A rune switch, unlike a strings.Trim cutset with non-ASCII runes
+// in it, builds nothing per call.
+func isTrimRune(r rune) bool {
+	switch r {
+	case '.', ',', '!', '?', ';', ':', '\'', '"', '(', ')', '[', ']', '{', '}', '…', '—', '-':
+		return true
+	}
+	return false
+}
+
+// isStopword reports the common function words Tokenize drops.
+func isStopword(s string) bool {
+	switch s {
+	case "a", "an", "the", "is", "are", "was", "were", "be", "been", "to",
+		"of", "in", "on", "at", "and", "or", "it", "its", "this", "that",
+		"with", "for", "by", "from", "as", "has", "have", "had",
+		"i", "we", "you", "they", "he", "she":
+		return true
+	}
+	return false
 }
 
 // Leader is a single-pass leader clusterer: each document joins the best

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -261,5 +263,56 @@ func TestClusterStableAcrossRuns(t *testing.T) {
 					run, d, got.Cluster[d], first.Cluster[d])
 			}
 		}
+	}
+}
+
+// TestClusterMatchesOracle pins the map-free clustering path to the
+// oracle (oracle_test.go) on every twittersim preset: identical tokens for
+// every tweet, and identical assignments and leaders across thresholds and
+// postings caps, including caps small enough that hub tokens stop
+// generating candidates.
+func TestClusterMatchesOracle(t *testing.T) {
+	for _, sc := range twittersim.Presets() {
+		w, err := twittersim.Generate(twittersim.Small(sc.Name, 20), randutil.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := make([][]string, len(w.Tweets))
+		for i, tw := range w.Tweets {
+			docs[i] = Tokenize(tw.Text)
+			if want := oracleTokenize(tw.Text); !slices.Equal(docs[i], want) {
+				t.Fatalf("%s tweet %d: tokens %q, oracle %q", sc.Name, i, docs[i], want)
+			}
+		}
+		for _, threshold := range []float64{0, 0.3, 0.5, 0.8} {
+			for _, maxPostings := range []int{0, 4, 1000} {
+				l := &Leader{Threshold: threshold, MaxPostings: maxPostings}
+				got := l.Cluster(docs)
+				oracle := newOracleIncremental(l)
+				for d, doc := range docs {
+					if want := oracle.Add(doc); got.Cluster[d] != want {
+						t.Fatalf("%s threshold %v cap %d doc %d: cluster %d, oracle %d",
+							sc.Name, threshold, maxPostings, d, got.Cluster[d], want)
+					}
+				}
+				if !slices.Equal(got.Leaders, oracle.leaders) {
+					t.Fatalf("%s threshold %v cap %d: leaders differ from oracle", sc.Name, threshold, maxPostings)
+				}
+			}
+		}
+	}
+}
+
+// TestTokenizeLongDocument covers the set-based dedupe a document switches
+// to past dedupeScanMax tokens, against the oracle.
+func TestTokenizeLongDocument(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 5*dedupeScanMax; i++ {
+		fmt.Fprintf(&b, "w%d, The W%d! ", i%(2*dedupeScanMax), (7*i)%(3*dedupeScanMax))
+	}
+	text := b.String()
+	got, want := Tokenize(text), oracleTokenize(text)
+	if len(want) <= dedupeScanMax || !slices.Equal(got, want) {
+		t.Fatalf("Tokenize gave %d tokens, oracle %d (need more than %d)", len(got), len(want), dedupeScanMax)
 	}
 }

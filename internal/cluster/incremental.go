@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Incremental is the stateful form of Leader: documents arrive one at a
@@ -26,8 +25,11 @@ type Incremental struct {
 	leaders      []int
 	docs         int
 
-	counts map[int]int // scratch: candidate cluster -> shared tokens
-	cands  []int       // scratch: candidate ids in first-seen order
+	// counts[c] is the number of doc tokens whose postings list cluster c,
+	// indexed by cluster id; it is all zeros between scans (bestCluster
+	// resets exactly the entries it touched, through cands).
+	counts []int32
+	cands  []int // scratch: candidate ids in first-seen order
 }
 
 // Incremental returns a fresh incremental clusterer with the Leader's
@@ -45,8 +47,9 @@ func (l *Leader) Incremental() *Incremental {
 		threshold:   threshold,
 		maxPostings: maxPostings,
 		index:       make(map[string][]int),
-		counts:      make(map[int]int),
-		cands:       make([]int, 0, 64),
+		// Non-nil, so a fresh State encodes as [] like a restored one.
+		leaderTokens: [][]string{},
+		cands:        make([]int, 0, 64),
 	}
 }
 
@@ -70,13 +73,19 @@ func (inc *Incremental) Assign(doc []string) int {
 }
 
 // Add assigns the document to a cluster, founding a new one when no
-// existing cluster is at least threshold-similar, and returns its id.
+// existing cluster is at least threshold-similar, and returns its id. A
+// founding document's slice is kept as the cluster's leader token set (and
+// shared with every later State), so the caller must not modify it.
 func (inc *Incremental) Add(doc []string) int {
 	best := inc.bestCluster(doc)
 	if best < 0 {
 		best = len(inc.leaderTokens)
+		if len(doc) == 0 {
+			doc = nil // an empty leader encodes as null, as a restored one does
+		}
 		inc.leaders = append(inc.leaders, inc.docs)
 		inc.leaderTokens = append(inc.leaderTokens, doc)
+		inc.counts = append(inc.counts, 0)
 		for _, tok := range doc {
 			if len(inc.index[tok]) < inc.maxPostings {
 				inc.index[tok] = append(inc.index[tok], best)
@@ -89,33 +98,33 @@ func (inc *Incremental) Add(doc []string) int {
 
 // bestCluster scans the inverted index for the most similar existing
 // cluster above the threshold, ties broken toward the lowest cluster id.
+// Candidates are scanned in first-seen order, so the tie rule lives in the
+// comparison: the winner depends on the state alone, not on scan order.
 func (inc *Incremental) bestCluster(doc []string) int {
-	clear(inc.counts)
-	inc.cands = inc.cands[:0]
+	cands := inc.cands[:0]
 	for _, tok := range doc {
 		for _, c := range inc.index[tok] {
 			if inc.counts[c] == 0 {
-				inc.cands = append(inc.cands, c)
+				cands = append(cands, c)
 			}
 			inc.counts[c]++
 		}
 	}
-	// Scan candidates in sorted id order, never map order, so the winner
-	// on Jaccard ties is reproducibly the lowest cluster id.
-	sort.Ints(inc.cands)
 	best, bestSim := -1, inc.threshold
-	for _, c := range inc.cands {
-		shared := inc.counts[c]
+	for _, c := range cands {
+		shared := int(inc.counts[c])
+		inc.counts[c] = 0
 		// Jaccard from intersection size and set sizes.
 		union := len(doc) + len(inc.leaderTokens[c]) - shared
 		if union == 0 {
 			continue
 		}
 		sim := float64(shared) / float64(union)
-		if sim > bestSim {
+		if sim > bestSim || (sim == bestSim && best >= 0 && c < best) {
 			best, bestSim = c, sim
 		}
 	}
+	inc.cands = cands
 	return best
 }
 
@@ -132,27 +141,39 @@ type IncrementalState struct {
 	LeaderTokens [][]string `json:"leaderTokens"`
 }
 
-// State captures the clusterer's current state for persistence.
+// State captures the clusterer's current state for persistence in O(1):
+// it shares the leader lists instead of copying them. That is safe because
+// a cluster's leader and token set are never written after the Add that
+// founds it, and the shared outer slices are capped at the current
+// cluster count, so later Adds append past what the State can see (or
+// reallocate). A State therefore stays unchanged, and may be read by
+// another goroutine, while the Incremental keeps consuming documents.
 func (inc *Incremental) State() *IncrementalState {
-	tokens := make([][]string, len(inc.leaderTokens))
-	for c, toks := range inc.leaderTokens {
-		tokens[c] = append([]string(nil), toks...)
-	}
+	n := len(inc.leaderTokens)
 	return &IncrementalState{
 		Threshold:    inc.threshold,
 		MaxPostings:  inc.maxPostings,
 		Docs:         inc.docs,
-		Leaders:      append([]int(nil), inc.leaders...),
-		LeaderTokens: tokens,
+		Leaders:      inc.leaders[:n:n],
+		LeaderTokens: inc.leaderTokens[:n:n],
 	}
 }
 
 // RestoreIncremental rebuilds an Incremental from a persisted state,
 // including the inverted index, so continuing the stream after a restart
-// produces exactly the assignments an uninterrupted run would have.
+// produces exactly the assignments an uninterrupted run would have. It
+// rejects any state no run can produce: a threshold or postings cap that
+// is not positive (State always records the defaults applied), or leaders
+// that are not strictly increasing document ids starting at document 0
+// (the first document always founds cluster 0, and each later cluster is
+// founded by a later document).
 func RestoreIncremental(st *IncrementalState) (*Incremental, error) {
 	if st == nil {
 		return nil, fmt.Errorf("cluster: nil incremental state")
+	}
+	if !(st.Threshold > 0) || st.MaxPostings <= 0 {
+		return nil, fmt.Errorf("cluster: state has threshold %v and postings cap %d, want both positive",
+			st.Threshold, st.MaxPostings)
 	}
 	if len(st.Leaders) != len(st.LeaderTokens) {
 		return nil, fmt.Errorf("cluster: state has %d leaders but %d token sets",
@@ -161,15 +182,23 @@ func RestoreIncremental(st *IncrementalState) (*Incremental, error) {
 	if st.Docs < len(st.Leaders) {
 		return nil, fmt.Errorf("cluster: state has %d docs but %d clusters", st.Docs, len(st.Leaders))
 	}
+	if st.Docs > 0 && (len(st.Leaders) == 0 || st.Leaders[0] != 0) {
+		return nil, fmt.Errorf("cluster: state has %d docs but document 0 founds no cluster", st.Docs)
+	}
 	l := &Leader{Threshold: st.Threshold, MaxPostings: st.MaxPostings}
 	inc := l.Incremental()
 	inc.docs = st.Docs
 	inc.leaders = append([]int(nil), st.Leaders...)
 	inc.leaderTokens = make([][]string, len(st.LeaderTokens))
+	inc.counts = make([]int32, len(st.Leaders))
 	for c, toks := range st.LeaderTokens {
 		if st.Leaders[c] < 0 || st.Leaders[c] >= st.Docs {
 			return nil, fmt.Errorf("cluster: leader doc %d of cluster %d out of range [0,%d)",
 				st.Leaders[c], c, st.Docs)
+		}
+		if c > 0 && st.Leaders[c] <= st.Leaders[c-1] {
+			return nil, fmt.Errorf("cluster: leader doc %d of cluster %d does not follow cluster %d's doc %d",
+				st.Leaders[c], c, c-1, st.Leaders[c-1])
 		}
 		inc.leaderTokens[c] = append([]string(nil), toks...)
 		for _, tok := range inc.leaderTokens[c] {

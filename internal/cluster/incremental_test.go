@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -150,6 +151,14 @@ func TestRestoreIncrementalRejectsBadState(t *testing.T) {
 		{Docs: 1, Leaders: []int{0}, LeaderTokens: nil},
 		{Docs: 0, Leaders: []int{0}, LeaderTokens: [][]string{{"a"}}},
 		{Docs: 2, Leaders: []int{5}, LeaderTokens: [][]string{{"a"}}},
+		// States no run produces: missing defaults, a document 0 that
+		// founds nothing, leaders out of order.
+		{Threshold: 0, MaxPostings: 128, Docs: 1, Leaders: []int{0}, LeaderTokens: [][]string{{"a"}}},
+		{Threshold: 0.5, MaxPostings: 0, Docs: 1, Leaders: []int{0}, LeaderTokens: [][]string{{"a"}}},
+		{Threshold: 0.5, MaxPostings: 128, Docs: 1},
+		{Threshold: 0.5, MaxPostings: 128, Docs: 2, Leaders: []int{1}, LeaderTokens: [][]string{{"a"}}},
+		{Threshold: 0.5, MaxPostings: 128, Docs: 3, Leaders: []int{0, 2, 1}, LeaderTokens: [][]string{{"a"}, {"b"}, {"c"}}},
+		{Threshold: 0.5, MaxPostings: 128, Docs: 3, Leaders: []int{0, 0}, LeaderTokens: [][]string{{"a"}, {"b"}}},
 	}
 	for i, st := range cases {
 		if _, err := RestoreIncremental(st); err == nil {
@@ -182,4 +191,56 @@ func TestIncrementalMatchesBatchOnLargeStream(t *testing.T) {
 
 func token(stem string, d int) string {
 	return stem + string(rune('0'+d/10)) + string(rune('0'+d%10))
+}
+
+// TestStateUnchangedByLaterAdds: State shares the leader lists instead of
+// copying them, so a State captured at batch k must read the same while
+// the clusterer keeps founding clusters (growing, and reallocating, the
+// lists it shares) — also when another goroutine encodes it meanwhile, as
+// the ingest estimator stage does with the clusterer stage running.
+func TestStateUnchangedByLaterAdds(t *testing.T) {
+	docs := twittersimSmall(t)
+	inc := (&Leader{}).Incremental()
+	const batch = 64
+	for k := 0; k*batch < len(docs); k++ {
+		for _, doc := range docs[k*batch : min((k+1)*batch, len(docs))] {
+			inc.Add(doc)
+		}
+		st := inc.State()
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan []byte)
+		go func() {
+			got, _ := json.Marshal(st)
+			done <- got
+		}()
+		for _, doc := range docs[min((k+1)*batch, len(docs)):] {
+			inc.Add(append([]string{"later"}, doc...))
+		}
+		concurrent := <-done
+		after, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(concurrent, want) || !bytes.Equal(after, want) {
+			t.Fatalf("batch %d: State changed after later Adds", k)
+		}
+		// Nor may appending to the captured lists write into the
+		// clusterer's own.
+		before, err := json.Marshal(inc.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = append(st.Leaders, -1)
+		_ = append(st.LeaderTokens, []string{"junk"})
+		if now, _ := json.Marshal(inc.State()); !bytes.Equal(now, before) {
+			t.Fatalf("batch %d: appending to a State wrote into the clusterer", k)
+		}
+		// Continue from the state as captured, not from the probe Adds.
+		if inc, err = RestoreIncremental(st); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
